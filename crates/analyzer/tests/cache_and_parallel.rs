@@ -184,3 +184,23 @@ fn corrupt_cache_degrades_to_full_rescan() {
         clean.to_json().to_string()
     );
 }
+
+#[test]
+fn too_deeply_nested_cache_degrades_to_full_rescan() {
+    let dir = scratch("deep");
+    let cache = dir.join("cache.json");
+    let opts = ScanOptions {
+        cache_path: Some(cache.clone()),
+        ..ScanOptions::default()
+    };
+    let (clean, _) = scan_with(&fixture_root(), &opts).expect("seed scan");
+
+    // Deep enough to overflow the stack of an unbounded recursive descent.
+    fs::write(&cache, "[".repeat(100_000)).expect("corrupt");
+    let (recovered, stats) = scan_with(&fixture_root(), &opts).expect("recover");
+    assert_eq!(stats.cache_hits, 0, "corrupt cache must not serve hits");
+    assert_eq!(
+        recovered.to_json().to_string(),
+        clean.to_json().to_string()
+    );
+}

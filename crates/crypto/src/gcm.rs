@@ -8,8 +8,8 @@
 //! Two implementations share one key object:
 //!
 //! * the **fast path** (default): T-table AES rounds with an 8-way
-//!   interleaved CTR keystream ([`crate::aes`]) and 8-bit windowed GHASH
-//!   tables built once per key ([`crate::ghash`]), plus batched
+//!   interleaved CTR keystream ([`crate::aes`]) and 4-bit windowed GHASH
+//!   tables (8 KiB) built once per key ([`crate::ghash`]), plus batched
 //!   [`AesGcm::seal_many`]/[`AesGcm::open_many`] so callers amortize
 //!   per-frame overhead across a whole TDMA burst;
 //! * the **reference path**: straight FIPS 197 S-box rounds and the bitwise
@@ -41,9 +41,10 @@ pub const TAG_LEN: usize = 16;
 
 /// An AES-GCM AEAD cipher bound to one key.
 ///
-/// Construction derives the AES key schedule and the 64 KiB GHASH tables
+/// Construction derives the AES key schedule and the 8 KiB GHASH tables
 /// once; both are reused for every subsequent seal/open, single or batched —
-/// sessions should build one `AesGcm` per key, not one per call.
+/// sessions should build one `AesGcm` per key, not one per call. The small
+/// per-key footprint matters where one host holds a key per PON port.
 ///
 /// # Example
 ///

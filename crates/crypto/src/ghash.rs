@@ -6,28 +6,28 @@
 //!   chain. Slow (128 shift/XOR steps per block) but transparently equal to
 //!   the specification; it is the oracle every fast path is differentially
 //!   tested against.
-//! * [`GhashKey`] — 8-bit windowed multiplication tables (16 rows × 256
-//!   entries × 16 bytes = 64 KiB), built once per key and amortized across a
-//!   session. A block multiply becomes 16 table lookups.
+//! * [`GhashKey`] — 4-bit windowed multiplication tables (32 rows × 16
+//!   entries × 16 bytes = 8 KiB), built once per key and amortized across a
+//!   session. A block multiply becomes 32 table lookups. The small window
+//!   is for hosts that hold one key per PON port: a key's tables fit L1d,
+//!   and a 64-ONU tree's tx+rx keys (1 MiB of tables) fit L2.
 //!
 //! Building the tables is itself on the session-setup hot path (MACsec SAK
 //! installs, TLS-style handshakes, GEM port key establishment all construct
 //! an AEAD per key), so construction avoids the naive 128 bitwise multiplies:
-//! only row 0 is computed from `H` directly (8 multiplies + a linear
-//! combine); every other row is the previous row pushed through a
-//! key-independent `SHIFT8` reduction table, because moving a byte one
-//! position toward the low end multiplies its field element by x^8.
+//! only row 0 is computed from `H` directly (four single-bit steps + a
+//! linear combine); every other row is the previous row multiplied by x^4,
+//! because moving a nibble one position toward the low end multiplies its
+//! field element by x^4.
 //!
 //! Side-channel note (analyzer rule R11): the table *contents* depend on the
-//! key, the table *indices* do not — `mul` is indexed by bytes of the running
-//! GHASH state, i.e. by AAD/ciphertext-derived data, never by key bytes. Key
-//! material therefore never flows into an index expression, which is the
-//! taint R11 tracks. (Like all table-driven GHASH/AES software, lookups are
-//! still observable to a cache-timing adversary co-resident on the core; the
-//! simulation trades that residual channel for throughput, as the reference
-//! path remains available via `GENIO_CRYPTO_BACKEND=reference`.)
-
-use std::sync::OnceLock;
+//! key, the table *indices* do not — `mul` is indexed by nibbles of the
+//! running GHASH state, i.e. by AAD/ciphertext-derived data, never by key
+//! bytes. Key material therefore never flows into an index expression, which
+//! is the taint R11 tracks. (Like all table-driven GHASH/AES software,
+//! lookups are still observable to a cache-timing adversary co-resident on
+//! the core; the simulation trades that residual channel for throughput, as
+//! the reference path remains available via `GENIO_CRYPTO_BACKEND=reference`.)
 
 /// GCM's reduction constant: x^128 + x^7 + x^2 + x + 1 in the reflected bit
 /// order of SP 800-38D (bit 127 of the `u128` is the x^0 coefficient).
@@ -70,46 +70,28 @@ fn be128(block: &[u8]) -> u128 {
     u128::from_be_bytes(buf)
 }
 
-/// Key-independent mul-by-x^8 table: `SHIFT8[b]` is the field product
-/// `b · x^8` for the element whose representation is the bare low byte `b`.
-/// Built once per process and shared by every [`GhashKey`] construction.
-fn shift8_table() -> &'static [u128; 256] {
-    static SHIFT8: OnceLock<[u128; 256]> = OnceLock::new();
-    SHIFT8.get_or_init(|| {
-        let mut t = [0u128; 256];
-        for (b, slot) in t.iter_mut().enumerate() {
-            let mut v = b as u128;
-            // Eight single-bit shifts with the R reduction = multiply by x^8.
-            for _ in 0..8 {
-                let lsb = v & 1;
-                v >>= 1;
-                if lsb == 1 {
-                    v ^= R;
-                }
-            }
-            *slot = v;
-        }
-        t
-    })
+/// Multiplies an element by x: one shift toward the low end of the
+/// reflected representation, folding the dropped x^127 term back via `R`.
+#[inline]
+fn mul_x(v: u128) -> u128 {
+    (v >> 1) ^ (R & 0u128.wrapping_sub(v & 1))
 }
 
-/// Multiplies an arbitrary element by x^8: the high 120 bits shift straight
-/// down (no reduction can trigger there) and the low byte's contribution
-/// comes from the precomputed [`shift8_table`].
+/// Multiplies an element by x^4, the distance between adjacent nibbles.
 #[inline]
-fn mul_x8(z: u128, sh8: &[u128; 256]) -> u128 {
-    (z >> 8) ^ sh8[(z & 0xff) as usize]
+fn mul_x4(v: u128) -> u128 {
+    mul_x(mul_x(mul_x(mul_x(v))))
 }
 
 /// Precomputed multiplication tables for a fixed GHASH key `H`.
 ///
 /// `gf128_mul(x, h)` is GF(2)-linear in `x`, so `x·H` decomposes into the
-/// XOR of per-byte contributions: one 256-entry table per byte position
-/// (64 KiB per key) turns the 128-iteration bitwise multiply into 16 table
-/// lookups — the standard software-GHASH optimization.
+/// XOR of per-nibble contributions: one 16-entry table per nibble position
+/// (8 KiB per key) turns the 128-iteration bitwise multiply into 32 table
+/// lookups — the standard 4-bit-table software GHASH.
 #[derive(Clone)]
 pub struct GhashKey {
-    table: Box<[[u128; 256]; 16]>,
+    table: Box<[[u128; 16]; 32]>,
 }
 
 impl std::fmt::Debug for GhashKey {
@@ -121,51 +103,45 @@ impl std::fmt::Debug for GhashKey {
 impl GhashKey {
     /// Builds the per-key tables from the GHASH key `H = E_K(0^128)`.
     ///
-    /// Cost: 8 bitwise multiplies for the row-0 basis, then ~2 word ops per
-    /// remaining entry via the shared [`shift8_table`] — cheap enough to sit
-    /// on the per-session key-install path (MACsec SAK rotation, handshake
-    /// key schedules, GEM port establishment).
+    /// Cost: four single-bit reduction steps for the row-0 basis, then four
+    /// per remaining entry — cheap enough to sit on the per-session
+    /// key-install path (MACsec SAK rotation, handshake key schedules, GEM
+    /// port establishment).
     pub fn new(h: u128) -> Self {
-        let sh8 = shift8_table();
-        let mut table = Box::new([[0u128; 256]; 16]);
-        // Row 0 (the most-significant byte of the operand): basis bit 7 is
+        let mut table = Box::new([[0u128; 16]; 32]);
+        // Row 0 (the most-significant nibble of the operand): basis bit 3 is
         // the multiplicative identity (bit 127 in the reflected order), so
         // its product is H itself, and each lower bit is one more factor of
-        // x — seven single-bit reduction steps, no bitwise multiplies.
-        let mut powers = [0u128; 8];
+        // x — no bitwise multiplies.
+        let mut powers = [0u128; 4];
         let mut p = h;
         for slot in powers.iter_mut().rev() {
             *slot = p;
-            let lsb = p & 1;
-            p >>= 1;
-            if lsb == 1 {
-                p ^= R;
-            }
+            p = mul_x(p);
         }
-        // All 256 byte values by linearity: strip the lowest set bit, which
+        // All 16 nibble values by linearity: strip the lowest set bit, which
         // indexes an already-filled smaller value.
-        for v in 1usize..256 {
-            table[0][v] = table[0][v & (v - 1)] ^ powers[(v.trailing_zeros() & 7) as usize];
+        for v in 1usize..16 {
+            table[0][v] = table[0][v & (v - 1)] ^ powers[(v.trailing_zeros() & 3) as usize];
         }
-        // Rows 1..15: a byte one position lower represents the same element
-        // multiplied by x^8, and mul-by-x^8 commutes with mul-by-H, so each
-        // row is the previous one pushed through `mul_x8`.
-        for pos in 1..16 {
-            for v in 1usize..256 {
-                let prev = table[pos - 1][v];
-                table[pos][v] = mul_x8(prev, sh8);
-            }
+        // Rows 1..31: a nibble one position lower represents the same
+        // element multiplied by x^4, and mul-by-x^4 commutes with mul-by-H,
+        // so each row is the previous one pushed through `mul_x4`.
+        for pos in 1..32 {
+            table[pos] = table[pos - 1].map(mul_x4);
         }
         GhashKey { table }
     }
 
-    /// Computes `x · H` via 16 table lookups.
+    /// Computes `x · H` via 32 table lookups, one per nibble of `x`: each
+    /// byte of `x` indexes its high-nibble row with `b >> 4` and the next
+    /// row with `b & 0xf`.
     #[inline]
     pub fn mul(&self, x: u128) -> u128 {
         let bytes = x.to_be_bytes();
         let mut z = 0u128;
-        for (row, b) in self.table.iter().zip(bytes.iter()) {
-            z ^= row[usize::from(*b) & 0xff];
+        for (rows, b) in self.table.chunks_exact(2).zip(bytes.iter()) {
+            z ^= rows[0][usize::from(*b >> 4)] ^ rows[1][usize::from(*b & 0xf)];
         }
         z
     }
@@ -228,38 +204,45 @@ mod tests {
     }
 
     #[test]
-    fn shift8_is_multiplication_by_x_to_the_8() {
-        // x^8 in the reflected representation is bit 127 - 8 = 119.
-        let x8 = 1u128 << 119;
-        let sh8 = shift8_table();
+    fn mul_x4_is_multiplication_by_x_to_the_4() {
+        // x^4 in the reflected representation is bit 127 - 4 = 123.
+        let x4 = 1u128 << 123;
         let mut z = 0x0123_4567_89ab_cdef_fedc_ba98_7654_3210_u128;
         for _ in 0..100 {
-            assert_eq!(mul_x8(z, sh8), gf128_mul(z, x8));
+            assert_eq!(mul_x4(z), gf128_mul(z, x4));
             z ^= z << 13;
             z ^= z >> 7;
             z ^= z << 17;
         }
-        assert_eq!(mul_x8(0, sh8), 0);
+        assert_eq!(mul_x4(0), 0);
     }
 
     #[test]
     fn fast_construction_matches_per_bit_construction() {
-        // The original (slow) construction did one bitwise multiply per bit
-        // of every byte position. The shift8-based construction must produce
-        // the identical 64 KiB of tables.
+        // The slow construction does one bitwise multiply per bit of every
+        // nibble position. The x^4-step construction must produce the
+        // identical 8 KiB of tables.
         let h = 0xb83b_5337_08bf_535d_0aa6_e529_80d5_3b78_u128;
         let key = GhashKey::new(h);
-        for pos in 0..16 {
-            for v in 0..256usize {
+        for pos in 0..32 {
+            for v in 0..16usize {
                 let mut expected = 0u128;
-                for bit in 0..8 {
+                for bit in 0..4 {
                     if v & (1 << bit) != 0 {
-                        expected ^= gf128_mul((1u128 << bit) << ((15 - pos) * 8), h);
+                        expected ^= gf128_mul((1u128 << bit) << ((31 - pos) * 4), h);
                     }
                 }
                 assert_eq!(key.table[pos][v], expected, "pos {pos} v {v}");
             }
         }
+    }
+
+    #[test]
+    fn per_key_table_is_8_kib() {
+        // Many-key hosts (one GEM key per ONU port) hold thousands of these;
+        // the footprint is what keeps them in cache.
+        let key = GhashKey::new(1);
+        assert_eq!(std::mem::size_of_val(&*key.table), 8 * 1024);
     }
 
     #[test]

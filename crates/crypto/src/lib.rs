@@ -21,7 +21,7 @@
 //!   plus `_reference` oracle twins selectable via
 //!   `GENIO_CRYPTO_BACKEND=reference`.
 //! * [`ghash`] — GHASH over GF(2^128): bitwise reference multiply and the
-//!   per-key 8-bit windowed tables the fast path uses.
+//!   per-key 4-bit windowed tables (8 KiB) the fast path uses.
 //! * [`dh`] — Diffie–Hellman over the Mersenne prime 2^127 − 1.
 //!   **Simulation-grade**: the group is far too small for real-world use
 //!   (~2^60 security) but exercises the exact same protocol logic (TLS-like

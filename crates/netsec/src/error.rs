@@ -24,6 +24,10 @@ pub enum NetsecError {
     IntegrityFailure,
     /// Packet-number space exhausted; the SAK must be rotated.
     PnExhausted,
+    /// Every association number of the CAK is used up: another rotation
+    /// would re-derive AN 0's SAK and restart its packet numbers, reusing
+    /// GCM nonces. Start a new connectivity association with a fresh CAK.
+    AssociationsExhausted,
     /// A handshake message arrived out of order.
     HandshakeOutOfOrder(&'static str),
     /// Peer authentication failed during the handshake.
@@ -48,6 +52,9 @@ impl fmt::Display for NetsecError {
             NetsecError::ReplayDetected { pn } => write!(f, "replay detected at pn {pn}"),
             NetsecError::IntegrityFailure => write!(f, "integrity check failed"),
             NetsecError::PnExhausted => write!(f, "packet number space exhausted"),
+            NetsecError::AssociationsExhausted => {
+                write!(f, "association numbers exhausted; a fresh CAK is required")
+            }
             NetsecError::HandshakeOutOfOrder(what) => {
                 write!(f, "handshake message out of order: {what}")
             }

@@ -83,11 +83,11 @@ pub struct Record {
 
 /// Directional record protection derived from a completed handshake.
 ///
-/// Both per-direction AEADs — including their AES key schedules and 64 KiB
+/// Both per-direction AEADs — including their AES key schedules and 8 KiB
 /// GHASH multiplication tables — are built once here at session setup and
 /// reused for every record; no per-record (or per-batch) key material is
 /// ever re-derived. Session setup itself is cheap because `AesGcm::new`
-/// constructs the GHASH tables via the shift-based recurrence in
+/// constructs the GHASH tables via the mul-by-x^4 recurrence in
 /// `genio_crypto::ghash` instead of 128 bitwise field multiplies.
 #[derive(Debug)]
 pub struct SessionKeys {

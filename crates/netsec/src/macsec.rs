@@ -8,7 +8,8 @@
 //! * a **secure channel** (SC) per transmitting peer, identified by an SCI;
 //! * up to four **secure associations** (SA) per channel, numbered by a
 //!   2-bit association number (AN), each holding a Secure Association Key
-//!   (SAK) — rotation installs the next AN;
+//!   (SAK) — rotation installs the next AN, and each of a CAK's four ANs
+//!   is used once (past AN 3 a fresh CAK is needed);
 //! * a **SecTAG** carrying SCI, AN and a monotonically increasing packet
 //!   number (PN), authenticated as associated data;
 //! * a sliding **anti-replay window** on receive.
@@ -215,11 +216,22 @@ impl MacsecPeer {
     /// Rotates the transmit SAK to the next association number, resetting
     /// the packet number. Receivers derive the same SAK lazily from the CAK.
     ///
+    /// A SAK is derived from (CAK, SCI, AN), so one CAK yields four SAKs.
+    /// Wrapping from AN 3 back to AN 0 would re-derive AN 0's key with its
+    /// packet numbers restarted at 1 — a GCM (key, nonce) reuse — so the
+    /// rotation past AN 3 is refused.
+    ///
     /// # Errors
     ///
-    /// Propagates key-setup failures from the AEAD layer.
+    /// Returns [`NetsecError::AssociationsExhausted`] when AN 3 is in use,
+    /// leaving the transmit state untouched; the caller must start a new
+    /// connectivity association with a fresh CAK. Propagates key-setup
+    /// failures from the AEAD layer.
     pub fn rotate_sak(&mut self) -> crate::Result<()> {
-        let next_an = (self.tx.an + 1) % 4;
+        if self.tx.an >= 3 {
+            return Err(NetsecError::AssociationsExhausted);
+        }
+        let next_an = self.tx.an + 1;
         let sak = derive_sak(&self.cak, self.sci, next_an);
         self.tx = TxState {
             an: next_an,
@@ -578,6 +590,23 @@ mod tests {
         assert_eq!(f1.an, 1);
         assert_eq!(f1.pn, 1, "pn resets on rotation");
         assert_eq!(b.validate(&f1).unwrap(), b"post");
+    }
+
+    #[test]
+    fn rotation_past_an_3_is_refused_and_keeps_tx_state() {
+        let (mut a, mut b) = pair();
+        for an in 1..=3 {
+            a.rotate_sak().unwrap();
+            assert_eq!(a.current_an(), an);
+        }
+        let before = a.protect(b"on an 3").unwrap();
+        assert_eq!(a.rotate_sak(), Err(NetsecError::AssociationsExhausted));
+        // No wrap to AN 0: the AN 3 key and its packet numbers continue.
+        assert_eq!(a.current_an(), 3);
+        let after = a.protect(b"still an 3").unwrap();
+        assert_eq!((after.an, after.pn), (3, before.pn + 1));
+        assert_eq!(b.validate(&before).unwrap(), b"on an 3");
+        assert_eq!(b.validate(&after).unwrap(), b"still an 3");
     }
 
     #[test]

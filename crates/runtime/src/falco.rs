@@ -120,9 +120,16 @@ fn tokenize(input: &str) -> Result<Vec<Token>, ParseError> {
     Ok(tokens)
 }
 
+/// Deepest nesting [`parse`] accepts, counting each `not`, parenthesis
+/// and `and`/`or` link. Rule conditions nest a few levels; the bound turns
+/// a hostile `not not … x` into an error instead of a stack overflow.
+const MAX_DEPTH: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// `not`s, parentheses and `and`/`or` links open around `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -147,35 +154,46 @@ impl Parser {
         }
     }
 
-    fn parse_or(&mut self) -> Result<Cond, ParseError> {
-        let mut left = self.parse_and()?;
-        while matches!(self.peek(), Some(Token::Word(w)) if w == "or") {
-            self.next();
-            let right = self.parse_and()?;
-            left = Cond::Or(Box::new(left), Box::new(right));
+    /// Consumes the keyword `word` if it is next.
+    fn eat(&mut self, word: &str) -> bool {
+        let found = matches!(self.peek(), Some(Token::Word(w)) if w == word);
+        if found {
+            self.pos += 1;
         }
-        Ok(left)
+        found
+    }
+
+    // `and`/`or` chains nest to the right (`a or (b or c)`): both are
+    // associative and evaluate left to right either way, and each link
+    // is then one nesting level, so MAX_DEPTH bounds the tree that
+    // `eval` and `drop` recurse over, not only the parser.
+    fn parse_or(&mut self) -> Result<Cond, ParseError> {
+        let left = self.parse_and()?;
+        if !self.eat("or") {
+            return Ok(left);
+        }
+        let right = self.nested(Self::parse_or)?;
+        Ok(Cond::Or(Box::new(left), Box::new(right)))
     }
 
     fn parse_and(&mut self) -> Result<Cond, ParseError> {
-        let mut left = self.parse_unary()?;
-        while matches!(self.peek(), Some(Token::Word(w)) if w == "and") {
-            self.next();
-            let right = self.parse_unary()?;
-            left = Cond::And(Box::new(left), Box::new(right));
+        let left = self.parse_unary()?;
+        if !self.eat("and") {
+            return Ok(left);
         }
-        Ok(left)
+        let right = self.nested(Self::parse_and)?;
+        Ok(Cond::And(Box::new(left), Box::new(right)))
     }
 
     fn parse_unary(&mut self) -> Result<Cond, ParseError> {
         match self.peek() {
             Some(Token::Word(w)) if w == "not" => {
                 self.next();
-                Ok(Cond::Not(Box::new(self.parse_unary()?)))
+                Ok(Cond::Not(Box::new(self.nested(Self::parse_unary)?)))
             }
             Some(Token::LParen) => {
                 self.next();
-                let inner = self.parse_or()?;
+                let inner = self.nested(Self::parse_or)?;
                 match self.next() {
                     Some(Token::RParen) => Ok(inner),
                     _ => Err(ParseError {
@@ -185,6 +203,22 @@ impl Parser {
             }
             _ => self.parse_comparison(),
         }
+    }
+
+    /// Runs `inner` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<Cond, ParseError>,
+    ) -> Result<Cond, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError {
+                message: format!("nesting deeper than {MAX_DEPTH}"),
+            });
+        }
+        self.depth += 1;
+        let cond = inner(self);
+        self.depth -= 1;
+        cond
     }
 
     fn parse_comparison(&mut self) -> Result<Cond, ParseError> {
@@ -230,7 +264,8 @@ impl Parser {
 ///
 /// # Errors
 ///
-/// [`ParseError`] on malformed input.
+/// [`ParseError`] on malformed input, including `not`s, parentheses or
+/// `and`/`or` chains nested deeper than `MAX_DEPTH` (64).
 pub fn parse(input: &str) -> Result<Cond, ParseError> {
     let tokens = tokenize(input)?;
     if tokens.is_empty() {
@@ -238,7 +273,11 @@ pub fn parse(input: &str) -> Result<Cond, ParseError> {
             message: "empty condition".into(),
         });
     }
-    let mut parser = Parser { tokens, pos: 0 };
+    let mut parser = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let cond = parser.parse_or()?;
     if parser.pos != parser.tokens.len() {
         return Err(ParseError {
@@ -558,6 +597,42 @@ mod tests {
         assert!(parse("evt.type = exec extra").is_err());
         assert!(parse("proc.name in (sh, bash").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}evt.type = exec", "not ".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let parens = format!(
+            "{}evt.type = exec{}",
+            "(".repeat(MAX_DEPTH),
+            ")".repeat(MAX_DEPTH)
+        );
+        assert!(parse(&parens).is_ok());
+        let over = format!("{}evt.type = exec", "not ".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).unwrap_err().message.contains("nesting deeper"));
+        // 10^5 levels would overflow the stack of an unbounded descent.
+        assert!(parse(&format!("{}x", "not ".repeat(100_000))).is_err());
+        assert!(parse(&"(".repeat(100_000)).is_err());
+        // A long chain is as deep a tree as nested `not`s.
+        assert!(parse(&format!("{}x = y", "x = y and ".repeat(100_000))).is_err());
+        assert!(parse(&format!("{}x = y", "x = y or ".repeat(100_000))).is_err());
+    }
+
+    #[test]
+    fn chains_nest_right_and_keep_their_meaning() {
+        let c = parse("proc.name = a or proc.name = b or proc.name = bash").unwrap();
+        match &c {
+            Cond::Or(lhs, rhs) => {
+                assert!(matches!(**lhs, Cond::Eq(..)));
+                assert!(matches!(**rhs, Cond::Or(..)));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        let burst = attack_burst("t", 0);
+        assert!(burst.iter().any(|e| eval(&c, e)));
+        let none = parse("proc.name = a or proc.name = b and proc.name = bash").unwrap();
+        assert!(!burst.iter().any(|e| eval(&none, e)));
     }
 
     #[test]

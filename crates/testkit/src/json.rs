@@ -106,10 +106,19 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     write!(f, "\"")
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Bench documents,
+/// analyzer caches and baselines nest a few levels; the bound turns a
+/// corrupt or hostile `[[[…` into an error instead of a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document. Returns a human-readable error on malformed
-/// input.
+/// input, including arrays/objects nested deeper than `MAX_DEPTH` (128).
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser {
+        bytes: input.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -122,6 +131,8 @@ pub fn parse(input: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -152,8 +163,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {:?} at byte {}", other.map(|c| c as char), self.pos)),
         }
@@ -350,5 +375,16 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{} trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse(&over).unwrap_err().contains("nesting deeper"));
+        // 10^5 levels would overflow the stack of an unbounded descent.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 }
